@@ -2,12 +2,18 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace socs::persist {
 
@@ -25,8 +31,120 @@ std::array<uint32_t, 256> MakeCrcTable() {
   return table;
 }
 
+/// Advances a pre-inverted CRC register over `n` bytes, one table lookup per
+/// byte.
+uint32_t CrcTableUpdate(uint32_t c, const std::byte* p, size_t n) {
+  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+  for (size_t i = 0; i < n; ++i) {
+    c = kTable[(c ^ static_cast<uint8_t>(p[i])) & 0xFFu] ^ (c >> 8);
+  }
+  return c;
+}
+
+#if defined(__x86_64__)
+__m128i Load128(const std::byte* at) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+}
+
+/// One folding step: `lane` times the constant pair `k`, plus `next`.
+__attribute__((target("pclmul"))) inline __m128i Fold128(__m128i lane,
+                                                          __m128i k,
+                                                          __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(lane, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(lane, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(lo, hi), next);
+}
+
+/// Folds `n` bytes (a multiple of 16, at least 64) into the pre-inverted CRC
+/// register `c` with carry-less multiplies: four 128-bit lanes are folded
+/// 512 bits forward per step, then into one lane, then Barrett-reduced to 32
+/// bits (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+/// PCLMULQDQ Instruction", Intel 2009). Bit-reflected like the table loop;
+/// each fold constant is (x^k mod P) reflected and shifted left by one.
+__attribute__((target("pclmul"))) uint32_t CrcClmulFold(uint32_t c,
+                                                         const std::byte* p,
+                                                         size_t n) {
+  // x^(512+32), x^(512-32) mod P: fold a lane 512 bits forward.
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  // x^(128+32), x^(128-32) mod P: fold a lane 128 bits forward.
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  // x^64 mod P: fold 96 bits to 64.
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  // Barrett reduction: P itself and floor(x^64 / P), reflected, unshifted.
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x0 =
+      _mm_xor_si128(Load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = Load128(p + 16);
+  __m128i x2 = Load128(p + 32);
+  __m128i x3 = Load128(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = Fold128(x0, k1k2, Load128(p));
+    x1 = Fold128(x1, k1k2, Load128(p + 16));
+    x2 = Fold128(x2, k1k2, Load128(p + 32));
+    x3 = Fold128(x3, k1k2, Load128(p + 48));
+  }
+  x0 = Fold128(x0, k3k4, x1);
+  x0 = Fold128(x0, k3k4, x2);
+  x0 = Fold128(x0, k3k4, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = Fold128(x0, k3k4, Load128(p));
+
+  // 128 -> 96 -> 64 bits.
+  __m128i t = _mm_clmulepi64_si128(x0, k3k4, 0x10);
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), t);
+  t = _mm_srli_si128(x0, 4);
+  x0 = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00);
+  x0 = _mm_xor_si128(x0, t);
+  // 64 -> 32 bits.
+  t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  x0 = _mm_xor_si128(x0, t);
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x0, 4)));
+}
+
+bool CpuHasClmul() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul");
+}
+#endif
+
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
+}
+
+/// Transfers all of `iov` at `offset` with `io` (::preadv or ::pwritev),
+/// resuming after short transfers and EINTR.
+template <typename Io>
+Status TransferAll(Io io, int fd, std::array<iovec, 2> iov, off_t offset,
+                   const char* what) {
+  size_t first = 0;
+  while (first < iov.size()) {
+    if (iov[first].iov_len == 0) {
+      ++first;
+      continue;
+    }
+    const ssize_t n = io(fd, iov.data() + first,
+                         static_cast<int>(iov.size() - first), offset);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno(what);
+    }
+    if (n == 0) {
+      return Status::DataLoss(std::string(what) + ": file ends early");
+    }
+    offset += n;
+    for (size_t left = static_cast<size_t>(n); left > 0;) {
+      const size_t step = std::min(left, iov[first].iov_len);
+      iov[first].iov_base = static_cast<std::byte*>(iov[first].iov_base) + step;
+      iov[first].iov_len -= step;
+      left -= step;
+      if (iov[first].iov_len == 0) ++first;
+    }
+  }
+  return Status::OK();
 }
 
 std::string DirOf(const std::string& path) {
@@ -39,12 +157,21 @@ std::string DirOf(const std::string& path) {
 }  // namespace
 
 uint32_t Crc32(std::span<const std::byte> bytes) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
-  uint32_t c = 0xFFFFFFFFu;
-  for (std::byte b : bytes) {
-    c = kTable[(c ^ static_cast<uint8_t>(b)) & 0xFFu] ^ (c >> 8);
+#if defined(__x86_64__)
+  static const bool kClmul = CpuHasClmul();
+  if (kClmul && bytes.size() >= 64) {
+    const size_t folded = bytes.size() & ~size_t{15};
+    const uint32_t c = CrcClmulFold(0xFFFFFFFFu, bytes.data(), folded);
+    return CrcTableUpdate(c, bytes.data() + folded, bytes.size() - folded) ^
+           0xFFFFFFFFu;
   }
-  return c ^ 0xFFFFFFFFu;
+#endif
+  return Crc32Portable(bytes);
+}
+
+uint32_t Crc32Portable(std::span<const std::byte> bytes) {
+  return CrcTableUpdate(0xFFFFFFFFu, bytes.data(), bytes.size()) ^
+         0xFFFFFFFFu;
 }
 
 void ByteWriter::U32(uint32_t v) {
@@ -147,37 +274,24 @@ StatusOr<FileHandle> FileHandle::OpenRW(const std::string& path) {
   return h;
 }
 
-StatusOr<uint64_t> FileHandle::Append(std::span<const std::byte> bytes) {
+StatusOr<uint64_t> FileHandle::Append(std::span<const std::byte> head,
+                                      std::span<const std::byte> tail) {
   const off_t end = ::lseek(fd_, 0, SEEK_END);
   if (end < 0) return Errno("lseek");
-  size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::pwrite(fd_, bytes.data() + done, bytes.size() - done,
-                               end + static_cast<off_t>(done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("pwrite");
-    }
-    done += static_cast<size_t>(n);
-  }
+  // pwritev never writes through iov_base; the casts only drop const.
+  const std::array<iovec, 2> iov = {
+      iovec{const_cast<std::byte*>(head.data()), head.size()},
+      iovec{const_cast<std::byte*>(tail.data()), tail.size()}};
+  Status st = TransferAll(::pwritev, fd_, iov, end, "pwritev");
+  if (!st.ok()) return st;
   return static_cast<uint64_t>(end);
 }
 
-Status FileHandle::ReadAt(uint64_t offset, uint64_t length,
-                          std::vector<std::byte>* out) const {
-  out->resize(length);
-  size_t done = 0;
-  while (done < length) {
-    const ssize_t n = ::pread(fd_, out->data() + done, length - done,
-                              static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("pread");
-    }
-    if (n == 0) return Status::DataLoss("short read: file ends early");
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
+Status FileHandle::ReadAt(uint64_t offset, std::span<std::byte> head,
+                          std::span<std::byte> tail) const {
+  const std::array<iovec, 2> iov = {iovec{head.data(), head.size()},
+                                    iovec{tail.data(), tail.size()}};
+  return TransferAll(::preadv, fd_, iov, static_cast<off_t>(offset), "preadv");
 }
 
 Status FileHandle::Sync() {

@@ -1,6 +1,7 @@
 // On-disk primitives of the persist subsystem: CRC-32, bounds-checked
-// little-endian readers/writers, positional file handles, and the
-// write-new + fsync + rename idiom every atomic root flip uses.
+// little-endian readers/writers, positional file handles with gathered
+// writes and scattered reads, and the write-new + fsync + rename idiom every
+// atomic root flip uses.
 //
 // Durability discipline (the XTree/LMDB-style COW rulebook):
 //   - data files (segment blobs, delta log) are append-only; records carry
@@ -30,8 +31,15 @@
 
 namespace socs::persist {
 
-/// CRC-32 (ISO-HDLC polynomial, the zlib one) over a byte span.
+/// CRC-32 (ISO-HDLC polynomial, the zlib one) over a byte span. On x86-64
+/// CPUs with PCLMULQDQ (checked once at run time) spans of 64 bytes or more
+/// are folded with carry-less multiplies, at memory speed; everything else
+/// takes Crc32Portable. Both give the same value for every input.
 uint32_t Crc32(std::span<const std::byte> bytes);
+
+/// The byte-at-a-time table loop: the path on every other CPU, and the
+/// reference the tests hold Crc32 to.
+uint32_t Crc32Portable(std::span<const std::byte> bytes);
 
 /// Test seam: called at named fault points during checkpoint/log writes.
 /// Production stores leave it empty.
@@ -94,10 +102,14 @@ class FileHandle {
 
   bool valid() const { return fd_ >= 0; }
 
-  /// Appends `bytes` at the current end; returns the offset written at.
-  StatusOr<uint64_t> Append(std::span<const std::byte> bytes);
-  /// Reads exactly `length` bytes at `offset`.
-  Status ReadAt(uint64_t offset, uint64_t length, std::vector<std::byte>* out) const;
+  /// Appends `head` then `tail` at the current end with one gathered write
+  /// (no staging copy); returns the offset written at.
+  StatusOr<uint64_t> Append(std::span<const std::byte> head,
+                            std::span<const std::byte> tail = {});
+  /// Reads exactly `head.size() + tail.size()` bytes at `offset`, scattered
+  /// into `head` then `tail`.
+  Status ReadAt(uint64_t offset, std::span<std::byte> head,
+                std::span<std::byte> tail = {}) const;
   Status Sync();
   Status Truncate(uint64_t size);
   StatusOr<uint64_t> Size() const;

@@ -113,8 +113,8 @@ Status DeltaLog::Sync() { return file_.Sync(); }
 StatusOr<DeltaLog::ReplayResult> DeltaLog::Replay() const {
   auto size = file_.Size();
   if (!size.ok()) return size.status();
-  std::vector<std::byte> bytes;
-  Status st = file_.ReadAt(0, *size, &bytes);
+  std::vector<std::byte> bytes(*size);
+  Status st = file_.ReadAt(0, bytes);
   if (!st.ok()) return st;
 
   ReplayResult result;

@@ -1,6 +1,7 @@
 #include "persist/segment_files.h"
 
 #include <limits>
+#include <utility>
 
 namespace socs::persist {
 
@@ -23,7 +24,7 @@ uint32_t SegmentFileSet::ClassFor(uint64_t bytes) {
 }
 
 StatusOr<BlobAddress> SegmentFileSet::Append(
-    std::span<const std::byte> payload) {
+    std::span<const std::byte> payload, uint32_t* crc) {
   // The record header stores the length as a u32; a larger payload would be
   // written with a truncated header and fail every subsequent Read.
   if (payload.size() > std::numeric_limits<uint32_t>::max()) {
@@ -32,13 +33,13 @@ StatusOr<BlobAddress> SegmentFileSet::Append(
         " bytes exceeds the u32 record-header length field");
   }
   const uint32_t cls = ClassFor(payload.size());
-  ByteWriter w;
-  w.U32(kRecordMagic);
-  w.U32(static_cast<uint32_t>(payload.size()));
-  w.U32(Crc32(payload));
-  w.U32(0);
-  w.Bytes(payload);
-  auto offset = files_[cls].Append(w.data());
+  *crc = Crc32(payload);
+  ByteWriter header;
+  header.U32(kRecordMagic);
+  header.U32(static_cast<uint32_t>(payload.size()));
+  header.U32(*crc);
+  header.U32(0);
+  auto offset = files_[cls].Append(header.data(), payload);
   if (!offset.ok()) return offset.status();
   dirty_[cls] = true;
   BlobAddress addr;
@@ -48,21 +49,21 @@ StatusOr<BlobAddress> SegmentFileSet::Append(
   return addr;
 }
 
-StatusOr<std::vector<std::byte>> SegmentFileSet::Read(
-    const BlobAddress& addr) const {
+StatusOr<std::vector<std::byte>> SegmentFileSet::Read(const BlobAddress& addr,
+                                                      uint32_t* crc) const {
   if (addr.file_class >= kNumClasses) {
     return Status::DataLoss("blob address: bad file class");
   }
-  std::vector<std::byte> record;
-  Status st = files_[addr.file_class].ReadAt(
-      addr.offset, kHeaderBytes + addr.length, &record);
+  std::array<std::byte, kHeaderBytes> header;
+  std::vector<std::byte> payload(addr.length);
+  Status st = files_[addr.file_class].ReadAt(addr.offset, header, payload);
   if (!st.ok()) return st;
-  ByteReader r(record);
+  ByteReader r(header);
   auto magic = r.U32();
   auto len = r.U32();
-  auto crc = r.U32();
+  auto stored_crc = r.U32();
   auto reserved = r.U32();
-  if (!magic.ok() || !len.ok() || !crc.ok() || !reserved.ok()) {
+  if (!magic.ok() || !len.ok() || !stored_crc.ok() || !reserved.ok()) {
     return Status::DataLoss("blob record: truncated header");
   }
   if (*magic != kRecordMagic) {
@@ -71,19 +72,22 @@ StatusOr<std::vector<std::byte>> SegmentFileSet::Read(
   if (*len != addr.length) {
     return Status::DataLoss("blob record: length disagrees with object table");
   }
-  std::vector<std::byte> payload(record.begin() + kHeaderBytes, record.end());
-  if (Crc32(payload) != *crc) {
+  if (Crc32(payload) != *stored_crc) {
     return Status::DataLoss("blob record: checksum mismatch");
   }
+  *crc = *stored_crc;
   return payload;
 }
 
-Status SegmentFileSet::Sync() {
+SegmentFileSet::ClassSet SegmentFileSet::TakeDirty() {
+  return std::exchange(dirty_, ClassSet{});
+}
+
+Status SegmentFileSet::Sync(const ClassSet& classes) {
   for (uint32_t k = 0; k < kNumClasses; ++k) {
-    if (!dirty_[k]) continue;
+    if (!classes[k]) continue;
     Status st = files_[k].Sync();
     if (!st.ok()) return st;
-    dirty_[k] = false;
   }
   return Status::OK();
 }

@@ -51,14 +51,27 @@ class SegmentFileSet {
   /// `dir`.
   static StatusOr<SegmentFileSet> Open(const std::string& dir);
 
-  /// Appends one blob record; returns where it landed. Does not sync.
-  StatusOr<BlobAddress> Append(std::span<const std::byte> payload);
+  /// Appends one blob record -- header and payload in one gathered write --
+  /// and returns where it landed. `*crc` receives the payload CRC, computed
+  /// once here for both the header and the caller's object-table entry.
+  /// Marks the class dirty; does not sync.
+  StatusOr<BlobAddress> Append(std::span<const std::byte> payload,
+                               uint32_t* crc);
 
-  /// Reads the payload at `addr`, verifying magic, length, and CRC.
-  StatusOr<std::vector<std::byte>> Read(const BlobAddress& addr) const;
+  /// Reads the payload at `addr` straight into the returned vector,
+  /// verifying magic, length, and CRC; `*crc` receives the verified CRC.
+  StatusOr<std::vector<std::byte>> Read(const BlobAddress& addr,
+                                        uint32_t* crc) const;
 
-  /// fsyncs every class file that received appends since the last Sync.
-  Status Sync();
+  /// One flag per size class.
+  using ClassSet = std::array<bool, kNumClasses>;
+  /// The classes appended to since the last call; clears the record, so an
+  /// append after this call dirties its class again.
+  ClassSet TakeDirty();
+  /// fsyncs the class files in `classes`. Touches only the open
+  /// descriptors, so it may run while another thread appends under the
+  /// caller's lock (as may Read).
+  Status Sync(const ClassSet& classes);
 
   /// Which class a payload of `bytes` routes to.
   static uint32_t ClassFor(uint64_t bytes);
@@ -78,7 +91,7 @@ class SegmentFileSet {
 
  private:
   std::array<FileHandle, kNumClasses> files_;
-  std::array<bool, kNumClasses> dirty_{};
+  ClassSet dirty_{};
   uint64_t live_bytes_ = 0;
   uint64_t dead_bytes_ = 0;
 };

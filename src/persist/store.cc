@@ -76,7 +76,7 @@ StatusOr<std::unique_ptr<PersistentStore>> PersistentStore::Open(
     // Fresh directory: initialize generation 0 (empty table, empty image).
     store->generation_ = 0;
     std::vector<std::byte> ckpt =
-        store->BuildCheckpoint(0, DatabaseImage{}, 0);
+        BuildCheckpoint(0, ObjectTable{}, DatabaseImage{});
     Status st = AtomicReplaceFile(store->CheckpointPath(0), ckpt,
                                   store->opts_.fault_hook, "checkpoint");
     if (!st.ok()) return st;
@@ -137,20 +137,24 @@ std::vector<std::byte> PersistentStore::BuildSuperblock(uint64_t gen) {
   return w.Take();
 }
 
-std::vector<std::byte> PersistentStore::BuildCheckpoint(
-    uint64_t gen, const DatabaseImage& db, uint64_t capture_seq) const {
+ObjectTable PersistentStore::CheckpointTable(uint64_t capture_seq) const {
   ObjectTable merged = table_;
   for (const auto& [id, d] : dead_) {
     // Freed during/after the image capture: the image may reference it.
     if (d.seq >= capture_seq) merged.emplace(id, d.entry);
   }
+  return merged;
+}
+
+std::vector<std::byte> PersistentStore::BuildCheckpoint(
+    uint64_t gen, const ObjectTable& table, const DatabaseImage& db) {
   ByteWriter w;
   w.U32(kCheckpointMagic);
   w.U32(kVersion);
   w.U64(gen);
-  const std::vector<std::byte> table = SerializeObjectTable(merged);
-  w.U64(table.size());
-  w.Bytes(table);
+  const std::vector<std::byte> table_bytes = SerializeObjectTable(table);
+  w.U64(table_bytes.size());
+  w.Bytes(table_bytes);
   SerializeDatabaseImage(db, &w);
   w.U32(Crc32(w.data()));
   return w.Take();
@@ -285,16 +289,15 @@ void PersistentStore::PersistSegment(SegmentId id,
   std::lock_guard<std::mutex> lk(mu_);
   if (!first_error_.ok()) return;  // store already failed; stay quiet
   ++op_seq_;
-  auto addr = files_->Append(physical);
+  ObjectEntry entry;
+  auto addr = files_->Append(physical, &entry.crc);
   if (!addr.ok()) {
     Park(addr.status());
     return;
   }
-  ObjectEntry entry;
   entry.addr = *addr;
   entry.codec = codec;
   entry.logical_bytes = logical_bytes;
-  entry.crc = Crc32(physical);
   auto old = table_.find(id);
   if (old != table_.end()) files_->NoteDead(old->second.addr.length);
   files_->NoteLive(entry.addr.length);
@@ -324,22 +327,41 @@ uint64_t PersistentStore::BeginCapture() const {
 
 StatusOr<uint64_t> PersistentStore::WriteCheckpoint(const DatabaseImage& db,
                                                     uint64_t capture_seq) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!first_error_.ok()) return first_error_;
-  const uint64_t next = generation_ + 1;
+  std::lock_guard<std::mutex> commit(commit_mu_);
+  // The snapshot: the root's object table and the classes holding blobs it
+  // may reference that no earlier checkpoint synced. Appends from here on go
+  // to the current generation's log and re-dirty their class for the next
+  // checkpoint; none of them can be referenced by `db`, which was captured
+  // before this call.
+  uint64_t next = 0;
+  ObjectTable table;
+  SegmentFileSet::ClassSet dirty{};
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!first_error_.ok()) return first_error_;
+    next = generation_ + 1;
+    table = CheckpointTable(capture_seq);
+    dirty = files_->TakeDirty();
+  }
 
   // 1. Data first: every blob the checkpoint's object table points at must
-  //    be durable before the root can reference it.
+  //    be durable before the root can reference it. A failed fsync parks the
+  //    store: the kernel reports a writeback error once and may have dropped
+  //    the pages, so a later fsync's success would prove nothing -- and the
+  //    dirty record was already taken.
   if (opts_.fsync_data) {
-    Status st = files_->Sync();
-    if (!st.ok()) return st;
+    Status st = files_->Sync(dirty);
+    if (!st.ok()) {
+      std::lock_guard<std::mutex> lk(mu_);
+      Park(st);
+      return st;
+    }
   }
 
   // 2. The new root, written beside the old one.
-  Status st =
-      AtomicReplaceFile(CheckpointPath(next),
-                        BuildCheckpoint(next, db, capture_seq),
-                        opts_.fault_hook, "checkpoint");
+  Status st = AtomicReplaceFile(CheckpointPath(next),
+                                BuildCheckpoint(next, table, db),
+                                opts_.fault_hook, "checkpoint");
   if (!st.ok()) return st;
 
   // 3. A fresh, empty delta log for the new generation. Truncate defensively:
@@ -361,16 +383,20 @@ StatusOr<uint64_t> PersistentStore::WriteCheckpoint(const DatabaseImage& db,
                          opts_.fault_hook, "superblock");
   if (!st.ok()) return st;
 
-  delta_.emplace(std::move(*log));
-  generation_ = next;
-  delta_records_ = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    delta_.emplace(std::move(*log));
+    generation_ = next;
+    delta_records_ = 0;
 
-  // Dead entries already covered by the previous checkpoint's capture can
-  // go: no retained root needs them (two-generation retention).
-  for (auto it = dead_.begin(); it != dead_.end();) {
-    it = it->second.seq < prev_capture_seq_ ? dead_.erase(it) : std::next(it);
+    // Dead entries already covered by the previous checkpoint's capture can
+    // go: no retained root needs them (two-generation retention).
+    for (auto it = dead_.begin(); it != dead_.end();) {
+      it = it->second.seq < prev_capture_seq_ ? dead_.erase(it)
+                                              : std::next(it);
+    }
+    prev_capture_seq_ = capture_seq;
   }
-  prev_capture_seq_ = capture_seq;
 
   // 5. Retention: the previous generation stays as the fallback root;
   //    anything older goes.
@@ -407,9 +433,10 @@ StatusOr<SegmentBlob> PersistentStore::ReadSegment(SegmentId id) const {
                               " not in object table");
     }
   }
-  auto payload = files_->Read(entry.addr);
+  uint32_t crc = 0;
+  auto payload = files_->Read(entry.addr, &crc);
   if (!payload.ok()) return payload.status();
-  if (Crc32(*payload) != entry.crc) {
+  if (crc != entry.crc) {
     return Status::DataLoss("segment " + std::to_string(id) +
                             ": blob checksum disagrees with object table");
   }

@@ -15,7 +15,8 @@
 // files plus a delta-log record. Checkpoints serialize the full object table
 // and the engine-provided DatabaseImage, then flip the superblock; the
 // previous generation's checkpoint + log are kept (fallback) and G-2 is
-// deleted.
+// deleted. A checkpoint holds the store lock only to snapshot and to
+// install; its fsyncs and file writes run beside the mirror writes.
 //
 // Recovery (Open): read the superblock; load its checkpoint; replay the
 // generation's delta log, truncating a torn tail. A corrupt or missing
@@ -107,6 +108,14 @@ class PersistentStore : public SegmentDurability {
   /// Commits generation G+1: syncs data files, writes the checkpoint
   /// (object table + `db`), starts an empty delta log, flips the superblock,
   /// prunes generation G-1. Returns the new generation.
+  ///
+  /// The store lock is held only for the snapshot (a copy of the object
+  /// table the checkpoint names, and the set of size classes dirtied since
+  /// the last snapshot, cleared there) and for installing the new log and
+  /// generation after the flip. Serialization and I/O run unlocked, so
+  /// mirror writes proceed; they land in generation G's log and their
+  /// classes are synced by the next checkpoint. Checkpoints are serialized
+  /// among themselves. A failed data fsync parks the store (see health()).
   StatusOr<uint64_t> WriteCheckpoint(const DatabaseImage& db,
                                      uint64_t capture_seq);
 
@@ -139,7 +148,10 @@ class PersistentStore : public SegmentDurability {
 
   /// First durability error, if any. The SegmentDurability callbacks are
   /// void; a failed append parks its error here instead of crashing the
-  /// strategy that triggered it.
+  /// strategy that triggered it. A failed data fsync in WriteCheckpoint
+  /// parks too, and is never retried: the kernel reports a writeback error
+  /// once and may drop the pages, so a later fsync's success would prove
+  /// nothing. A parked store stops mirroring and refuses checkpoints.
   Status health() const;
   Stats stats() const;
 
@@ -158,10 +170,13 @@ class PersistentStore : public SegmentDurability {
     return opts_.dir + "/delta_" + std::to_string(gen) + ".log";
   }
 
-  /// Serializes {live table + capture-covered dead entries, db} into
-  /// checkpoint bytes (locked by caller).
-  std::vector<std::byte> BuildCheckpoint(uint64_t gen, const DatabaseImage& db,
-                                         uint64_t capture_seq) const;
+  /// The live table plus the dead entries freed at or after `capture_seq`
+  /// (locked by caller).
+  ObjectTable CheckpointTable(uint64_t capture_seq) const;
+  /// Serializes {table, db} into checkpoint bytes.
+  static std::vector<std::byte> BuildCheckpoint(uint64_t gen,
+                                                const ObjectTable& table,
+                                                const DatabaseImage& db);
   /// Parses checkpoint bytes; fills table + image.
   static Status ParseCheckpoint(std::span<const std::byte> bytes,
                                 uint64_t expect_gen, ObjectTable* table,
@@ -185,6 +200,10 @@ class PersistentStore : public SegmentDurability {
     /// entries whose seq is at or past the image's capture point.
     uint64_t seq = 0;
   };
+
+  /// Serializes WriteCheckpoint; held across its I/O, which runs outside
+  /// mu_. Taken before mu_, never while holding it.
+  std::mutex commit_mu_;
 
   mutable std::mutex mu_;
   ObjectTable table_;

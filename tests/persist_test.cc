@@ -1,15 +1,19 @@
-// Unit tests for the durable segment store (src/persist): the byte codecs
-// and CRC framing, size-class blob files, the object-table delta log,
-// checkpoint commit + recovery (including fallback to an older generation
-// and torn-tail truncation), corruption detection, and SaveState /
-// RestoreStrategy roundtrips for every strategy kind.
+// Unit tests for the durable segment store (src/persist): the byte codecs,
+// CRC framing and pinned on-disk bytes, size-class blob files, the
+// object-table delta log, checkpoint commit + recovery (including fallback
+// to an older generation and torn-tail truncation), commits racing mirror
+// writes, a failed data fsync parking the store, corruption detection, and
+// SaveState / RestoreStrategy roundtrips for every strategy kind.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -82,6 +86,30 @@ void AppendGarbage(const std::string& path, size_t n) {
   for (size_t i = 0; i < n; ++i) f.put(static_cast<char>(0xEE));
 }
 
+/// Points size class `k`'s file under `dir` at /dev/null, where writes
+/// succeed and fsync fails with EINVAL: a failing data fsync without
+/// privileges or a full disk.
+void LinkClassToDevNull(const std::string& dir, uint32_t k) {
+  std::filesystem::create_symlink(
+      "/dev/null", dir + "/segments_cls" + std::to_string(k) + ".dat");
+}
+
+DatabaseImage TinyImage() {
+  DatabaseImage db;
+  TableImage t;
+  t.name = "T";
+  t.rows = 3;
+  ColumnImage c;
+  c.name = "x";
+  c.segmented = false;
+  c.sql_type = 2;
+  c.plain_type = 2;
+  c.plain_payload = Payload(12, 9);
+  t.columns.push_back(c);
+  db.tables.push_back(t);
+  return db;
+}
+
 // --- format ------------------------------------------------------------------
 
 TEST(PersistFormatTest, Crc32MatchesKnownVector) {
@@ -90,7 +118,82 @@ TEST(PersistFormatTest, Crc32MatchesKnownVector) {
   std::vector<std::byte> bytes;
   for (const char* p = s; *p; ++p) bytes.push_back(static_cast<std::byte>(*p));
   EXPECT_EQ(Crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(Crc32Portable(bytes), 0xCBF43926u);
   EXPECT_EQ(Crc32({}), 0u);
+}
+
+TEST(PersistFormatTest, Crc32AgreesWithPortableReference) {
+  // Every length and start alignment the folding path's lane loop and table
+  // tail can see, then a buffer long enough for the four-lane loop to run
+  // for megabytes.
+  Rng rng(17);
+  std::vector<std::byte> buf(1100 + 16);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.Next());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::byte> s(buf.data() + offset, len);
+      ASSERT_EQ(Crc32(s), Crc32Portable(s))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  std::vector<std::byte> big(5 * kMiB);
+  for (auto& b : big) b = static_cast<std::byte>(rng.Next());
+  EXPECT_EQ(Crc32(big), Crc32Portable(big));
+}
+
+std::string Hex(std::span<const std::byte> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::byte b : bytes) {
+    out += kDigits[static_cast<uint8_t>(b) >> 4];
+    out += kDigits[static_cast<uint8_t>(b) & 0xF];
+  }
+  return out;
+}
+
+TEST(PersistFormatTest, OnDiskBytesAreFormatVersionOne) {
+  // Pinned to the bytes this format has always written, so a data directory
+  // written by an earlier build still opens and restores.
+  const std::string dir = TempDirFor("golden");
+  {
+    auto files = SegmentFileSet::Open(dir);
+    ASSERT_TRUE(files.ok());
+    uint32_t crc = 0;
+    ASSERT_TRUE(files->Append(Payload(24, 1), &crc).ok());
+    auto bytes = ReadFileBytes(dir + "/segments_cls0.dat");
+    ASSERT_TRUE(bytes.ok());
+    // magic, length, payload CRC, reserved; then the payload itself.
+    EXPECT_EQ(Hex(*bytes),
+              "0bb1655e" "18000000" "5475b129" "00000000"
+              "01203f5e7d9cbbdaf91837567594b3d2f1102f4e6d8cabca");
+  }
+  {
+    auto log = DeltaLog::Open(dir + "/delta.log");
+    ASSERT_TRUE(log.ok());
+    const ObjectEntry e{BlobAddress{1, 4112, 5000}, SegmentCodec::kRle, 9000,
+                        0xC0FFEE11u};
+    ASSERT_TRUE(log->AppendPut(0x0102030405060708ull, e, nullptr).ok());
+    auto bytes = ReadFileBytes(dir + "/delta.log");
+    ASSERT_TRUE(bytes.ok());
+    // magic, PUT, id, class, offset, length, codec, logical, blob CRC,
+    // record CRC.
+    EXPECT_EQ(Hex(*bytes),
+              "06a117de" "01" "0807060504030201" "01000000" "1010000000000000"
+              "8813000000000000" "01" "2823000000000000" "11eeffc0"
+              "2d78173e");
+  }
+  {
+    const std::string store_dir = TempDirFor("golden_store");
+    auto store = OpenStore(store_dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(
+        (*store)->WriteCheckpoint(TinyImage(), (*store)->BeginCapture()).ok());
+    auto bytes = ReadFileBytes(store_dir + "/superblock");
+    ASSERT_TRUE(bytes.ok());
+    // magic, version 1, generation 1, CRC.
+    EXPECT_EQ(Hex(*bytes),
+              "105bc550" "01000000" "0100000000000000" "f93a1d42");
+  }
 }
 
 TEST(PersistFormatTest, WriterReaderRoundtrip) {
@@ -142,31 +245,39 @@ TEST(SegmentFilesTest, BlobRoundtripAcrossClasses) {
 
   const auto small = Payload(100, 1);
   const auto large = Payload(2 * kMiB, 2);
-  auto a1 = files->Append(small);
-  auto a2 = files->Append(large);
+  uint32_t c1 = 0, c2 = 0;
+  auto a1 = files->Append(small, &c1);
+  auto a2 = files->Append(large, &c2);
   ASSERT_TRUE(a1.ok());
   ASSERT_TRUE(a2.ok());
   // Size classes keep small churn and bulk blobs in different files.
   EXPECT_NE(a1->file_class, a2->file_class);
   EXPECT_EQ(a1->length, small.size());
+  // The CRC handed back is the payload's, and Read hands back the same one.
+  EXPECT_EQ(c1, Crc32Portable(small));
+  EXPECT_EQ(c2, Crc32Portable(large));
 
-  auto r1 = files->Read(*a1);
-  auto r2 = files->Read(*a2);
+  uint32_t rc1 = 0, rc2 = 0;
+  auto r1 = files->Read(*a1, &rc1);
+  auto r2 = files->Read(*a2, &rc2);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(*r1, small);
   EXPECT_EQ(*r2, large);
+  EXPECT_EQ(rc1, c1);
+  EXPECT_EQ(rc2, c2);
 }
 
 TEST(SegmentFilesTest, CorruptedPayloadFailsCrc) {
   const std::string dir = TempDirFor("blob_corrupt");
   auto files = SegmentFileSet::Open(dir);
   ASSERT_TRUE(files.ok());
-  auto addr = files->Append(Payload(512, 3));
+  uint32_t crc = 0;
+  auto addr = files->Append(Payload(512, 3), &crc);
   ASSERT_TRUE(addr.ok());
-  ASSERT_TRUE(files->Sync().ok());
+  ASSERT_TRUE(files->Sync(files->TakeDirty()).ok());
   FlipByteAt(dir + "/segments_cls0.dat", -1);  // last payload byte
-  auto read = files->Read(*addr);
+  auto read = files->Read(*addr, &crc);
   EXPECT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
 }
@@ -181,7 +292,8 @@ TEST(SegmentFilesTest, OversizedPayloadRejectedAtAppend) {
   // an inflated extent exercises it without a 4 GiB allocation.
   std::byte dummy{};
   std::span<const std::byte> huge(&dummy, size_t{1} << 32);
-  auto addr = files->Append(huge);
+  uint32_t crc = 0;
+  auto addr = files->Append(huge, &crc);
   EXPECT_FALSE(addr.ok());
   EXPECT_EQ(addr.status().code(), StatusCode::kInvalidArgument);
 }
@@ -285,22 +397,6 @@ TEST(PersistentStoreTest, DeltaLogReplaysWithoutCheckpoint) {
   EXPECT_EQ(blob->physical, p2);
   EXPECT_EQ(blob->codec, SegmentCodec::kRle);
   EXPECT_EQ(blob->logical_bytes, 6000u);
-}
-
-DatabaseImage TinyImage() {
-  DatabaseImage db;
-  TableImage t;
-  t.name = "T";
-  t.rows = 3;
-  ColumnImage c;
-  c.name = "x";
-  c.segmented = false;
-  c.sql_type = 2;
-  c.plain_type = 2;
-  c.plain_payload = Payload(12, 9);
-  t.columns.push_back(c);
-  db.tables.push_back(t);
-  return db;
 }
 
 TEST(PersistentStoreTest, CheckpointCommitsAndReopens) {
@@ -513,6 +609,121 @@ TEST(PersistentStoreTest, AllRootsCorruptRefusesSilently) {
   auto store = OpenStore(dir);
   EXPECT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(PersistentStoreTest, FailedDataFsyncParksTheStore) {
+  const std::string dir = TempDirFor("fsync_fails");
+  for (uint32_t k = 0; k < SegmentFileSet::kNumClasses; ++k) {
+    LinkClassToDevNull(dir, k);
+  }
+  {
+    auto store = OpenStore(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    (*store)->PersistSegment(1, Payload(100, 16), SegmentCodec::kRaw, 100);
+    ASSERT_TRUE((*store)->health().ok());
+    auto gen = (*store)->WriteCheckpoint(TinyImage(), (*store)->BeginCapture());
+    ASSERT_FALSE(gen.ok());
+    // Parked: the failure is the store's health, nothing was committed, and
+    // a retry is refused instead of trusting a second fsync.
+    EXPECT_EQ((*store)->health().ToString(), gen.status().ToString());
+    EXPECT_EQ((*store)->stats().generation, 0u);
+    auto retry =
+        (*store)->WriteCheckpoint(TinyImage(), (*store)->BeginCapture());
+    EXPECT_FALSE(retry.ok());
+    EXPECT_FALSE(std::filesystem::exists(dir + "/checkpoint_1.ckpt"));
+  }
+  // The superblock on disk still names generation 0.
+  auto store = OpenStore(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->recovery().generation, 0u);
+}
+
+TEST(PersistentStoreTest, ClassDirtiedDuringCommitIsSyncedByNextCheckpoint) {
+  // Class 1 (4-8 KiB payloads) is /dev/null, so whether a checkpoint fails
+  // tells whether it synced that class.
+  const std::string dir = TempDirFor("dirty_mid_commit");
+  LinkClassToDevNull(dir, 1);
+  ASSERT_EQ(SegmentFileSet::ClassFor(6000), 1u);
+  PersistentStore* store_ptr = nullptr;
+  bool mirrored = false;
+  PersistentStore::Options opts;
+  opts.dir = dir;
+  opts.fault_hook = [&](std::string_view point) {
+    if (store_ptr == nullptr || mirrored || point != "checkpoint.mid") return;
+    // A mirror write after the snapshot, while the commit's I/O runs.
+    mirrored = true;
+    store_ptr->PersistSegment(2, Payload(6000, 18), SegmentCodec::kRaw, 6000);
+  };
+  auto store = PersistentStore::Open(std::move(opts));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  store_ptr = store->get();
+  (*store)->PersistSegment(1, Payload(100, 17), SegmentCodec::kRaw, 100);
+  auto first = (*store)->WriteCheckpoint(TinyImage(), (*store)->BeginCapture());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(mirrored);
+  EXPECT_TRUE((*store)->HasSegment(2));
+  auto second =
+      (*store)->WriteCheckpoint(TinyImage(), (*store)->BeginCapture());
+  EXPECT_FALSE(second.ok());
+  EXPECT_FALSE((*store)->health().ok());
+  EXPECT_EQ((*store)->stats().generation, 1u);
+}
+
+TEST(PersistentStoreTest, MirrorStreamRacesCheckpoints) {
+  // Mirror writes keep arriving while checkpoints commit; every checkpoint
+  // must still name only durable, readable blobs.
+  const std::string dir = TempDirFor("commit_race");
+  constexpr SegmentId kSegments = 600;
+  const auto blob = [](SegmentId id) {
+    return Payload(64 + (id * 977) % 12000, static_cast<uint8_t>(id));
+  };
+  std::set<SegmentId> live;
+  for (SegmentId id = 1; id <= kSegments; ++id) {
+    live.insert(id);
+    if (id % 3 == 0) live.erase(id - 1);
+  }
+  uint64_t generation = 0;
+  {
+    auto store = OpenStore(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    PersistentStore* s = store->get();
+    std::atomic<bool> done{false};
+    std::thread mirror([&] {
+      for (SegmentId id = 1; id <= kSegments; ++id) {
+        const auto p = blob(id);
+        s->PersistSegment(id, p, SegmentCodec::kRaw, p.size());
+        if (id % 3 == 0) s->ForgetSegment(id - 1);
+      }
+      done = true;
+    });
+    int rounds = 0;
+    while (!done || rounds < 3) {
+      auto gen = s->WriteCheckpoint(TinyImage(), s->BeginCapture());
+      EXPECT_TRUE(gen.ok()) << gen.status().ToString();
+      ++rounds;
+    }
+    mirror.join();
+    auto gen = s->WriteCheckpoint(TinyImage(), s->BeginCapture());
+    ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+    generation = *gen;
+    EXPECT_TRUE(s->health().ok());
+    const std::vector<SegmentId> ids = s->LiveSegments();
+    EXPECT_EQ(std::set<SegmentId>(ids.begin(), ids.end()), live);
+  }
+  auto store = OpenStore(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->recovery().generation, generation);
+  EXPECT_FALSE((*store)->recovery().fell_back);
+  for (SegmentId id : (*store)->AllSegments()) {
+    auto got = (*store)->ReadSegment(id);
+    ASSERT_TRUE(got.ok()) << "segment " << id << ": "
+                          << got.status().ToString();
+    EXPECT_EQ(got->physical, blob(id)) << "segment " << id;
+  }
+  // Every live segment is in the recovered table.
+  ASSERT_TRUE(
+      (*store)->Rebase(std::vector<SegmentId>(live.begin(), live.end())).ok());
+  EXPECT_EQ((*store)->LiveSegments().size(), live.size());
 }
 
 TEST(PersistentStoreTest, RetentionKeepsTwoGenerations) {

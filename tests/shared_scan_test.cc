@@ -91,7 +91,11 @@ std::unique_ptr<AccessStrategy<OidValue>> MakeOidStrategy(
 /// flushed relative to each statement; its streams get set-equality.
 bool TimingSensitive(size_t kind) { return kind == 5; }
 
-std::string TableOf(size_t kind) { return "S" + std::to_string(kind); }
+std::string TableOf(size_t kind) {
+  std::string name = "S";
+  name += std::to_string(kind);
+  return name;
+}
 
 /// Registers table Sk(v segmented by strategy `kind`, id plain lng).
 void AddStrategyTable(size_t kind, Catalog* cat, SegmentSpace* space) {
